@@ -82,7 +82,9 @@ CHAINIQ_BENCH_DIR="$SERVE_DIR" ./target/release/chainiq-serve \
     --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr" --workers 2 \
     2> "$SERVE_DIR/daemon.log" &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null; rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
+# The daemon has normally exited when this runs; under set -e a failed kill
+# would turn a passing run's exit status into 1.
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
 for _ in $(seq 1 100); do [ -s "$SERVE_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$SERVE_DIR/addr" ] \
     || { echo "ci.sh: chainiq-serve never published its address" >&2; exit 1; }
@@ -102,5 +104,19 @@ wait "$SERVE_PID" \
 cargo run -p chainiq-analyze --release --offline -- \
     --check-serve "$SERVE_DIR/BENCH_serve.json" "$SERVE_DIR/BENCH_serve_history.jsonl" \
     results/BENCH_serve.json
+
+echo "== benchmark package tests (perfbench: gate faults, traced equivalence)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark gate smoke: a short baseline-sweep-warm run must report correct"
+# The gate compares every run against perfbench/golden.txt (default-seed
+# fingerprints), checks restored runs against cold set-ups and counts
+# failed jobs; the JSON result line is the last line on stdout.
+BENCH_LINE="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload baseline-sweep-warm --seed 1 --seconds 2 --trace 0 2>/dev/null | tail -n 1)"
+case "$BENCH_LINE" in
+    *'"correct": true'*) ;;
+    *) echo "ci.sh: baseline-sweep-warm gate failed: $BENCH_LINE" >&2; exit 1 ;;
+esac
 
 echo "ci.sh: all checks passed"

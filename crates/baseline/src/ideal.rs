@@ -34,6 +34,8 @@ impl Entry {
 #[derive(Debug, Clone)]
 pub struct IdealIq {
     capacity: usize,
+    /// In tag order: dispatch appends ascending tags and issue removes
+    /// in place.
     entries: Vec<Entry>,
     stats: IqStats,
 }
@@ -78,31 +80,31 @@ impl IssueQueue for IdealIq {
                 }
             }
         }
+        debug_assert!(
+            self.entries.last().is_none_or(|e| e.tag < info.tag),
+            "dispatched out of tag order"
+        );
         self.entries.push(Entry { tag: info.tag, op: info.op, ops, entered_at: now });
         self.stats.dispatched += 1;
         Ok(())
     }
 
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
-        let mut ready: Vec<InstTag> = self
-            .entries
-            .iter()
-            .filter(|e| e.entered_at < now && e.ready(now))
-            .map(|e| e.tag)
-            .collect();
-        ready.sort();
+        // `entries` is in tag order, so one pass meets the candidates
+        // oldest first. Readiness cannot change during the call, so the
+        // pass sees the same candidate set a select computed up front
+        // would; a candidate whose unit is busy is skipped and stays.
         let mut issued = Vec::new();
-        for tag in ready {
-            if fus.slots_left() == 0 {
-                break;
+        self.entries.retain(|e| {
+            if fus.slots_left() == 0 || e.entered_at >= now || !e.ready(now) {
+                return true;
             }
-            let idx = self.entries.iter().position(|e| e.tag == tag).expect("candidate present");
-            if !fus.try_issue(now, self.entries[idx].op) {
-                continue;
+            if !fus.try_issue(now, e.op) {
+                return true;
             }
-            let e = self.entries.swap_remove(idx);
             issued.push(IssuedInst { tag: e.tag, op: e.op });
-        }
+            false
+        });
         self.stats.issued += issued.len() as u64;
         issued
     }
@@ -174,10 +176,13 @@ impl chainiq_ckpt::Snapshot for IdealIq {
         if capacity != self.capacity {
             return Err(corrupt("ideal IQ capacity differs from the running queue"));
         }
-        let entries: Vec<Entry> = Pack::unpack(r)?;
+        let mut entries: Vec<Entry> = Pack::unpack(r)?;
         if entries.len() > capacity {
             return Err(corrupt("ideal IQ occupancy exceeds its capacity"));
         }
+        // Images from before the queue kept tag order hold the entries
+        // in swap-remove order; the order carries no state.
+        entries.sort_by_key(|e| e.tag);
         let stats: IqStats = Pack::unpack(r)?;
         self.entries = entries;
         self.stats = stats;
@@ -292,6 +297,35 @@ mod tests {
             .unwrap();
         iq.flush();
         assert!(iq.is_empty());
+    }
+
+    #[test]
+    fn out_of_order_wakeup_still_issues_oldest_first() {
+        let mut iq = IdealIq::new(16);
+        for i in 0..6u64 {
+            iq.dispatch(
+                0,
+                DispatchInfo::compute(
+                    InstTag(10 + i),
+                    OpClass::IntAlu,
+                    ArchReg::int(2),
+                    &[dep(1, i)],
+                ),
+            )
+            .unwrap();
+        }
+        for p in [5u64, 1, 3, 0] {
+            iq.announce_ready(InstTag(p), 1);
+        }
+        let mut fus = FuPool::new(4, 3);
+        iq.tick(1, false);
+        let tags: Vec<u64> = iq.select_issue(1, &mut fus).iter().map(|i| i.tag.0).collect();
+        assert_eq!(tags, vec![10, 11, 13], "ready entries, oldest first, up to the width");
+        fus.next_cycle();
+        iq.tick(2, false);
+        let tags: Vec<u64> = iq.select_issue(2, &mut fus).iter().map(|i| i.tag.0).collect();
+        assert_eq!(tags, vec![15]);
+        assert_eq!(iq.occupancy(), 2);
     }
 
     #[test]

@@ -59,6 +59,8 @@ pub struct Pipeline<Q, W> {
     events_scratch: Vec<Event>,
     /// Scratch for the LSQ's per-cycle event report.
     lsq_events: Vec<LsqEvent>,
+    /// Scratch for the entries committed this cycle.
+    committed: Vec<RobEntry>,
     completion_time: TagMap<Cycle>,
     next_tag: u64,
     in_flight: usize,
@@ -94,6 +96,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             events: Wheel::new(EVENT_WHEEL_BUCKETS),
             events_scratch: Vec::new(),
             lsq_events: Vec::new(),
+            committed: Vec::new(),
             completion_time: TagMap::new(),
             next_tag: 0,
             in_flight: 0,
@@ -362,7 +365,9 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         }
 
         // 6. Commit.
-        for e in self.rob.commit(self.config.commit_width) {
+        let mut committed = std::mem::take(&mut self.committed);
+        self.rob.commit(self.config.commit_width, &mut committed);
+        for e in committed.drain(..) {
             self.rename.retire(e.inst.dest, e.tag);
             self.lsq.on_commit(e.tag);
             self.completion_time.remove(e.tag.0);
@@ -371,6 +376,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                 self.store_value.remove(&e.tag);
             }
         }
+        self.committed = committed;
 
         // 7. Fetch.
         self.frontend.fetch(now, &self.config, &mut self.workload, &mut self.bp, &mut self.mem);
@@ -535,6 +541,7 @@ where
         }
         self.events_scratch.clear();
         self.lsq_events.clear();
+        self.committed.clear();
         self.completion_time.clear();
         for (k, v) in completion_time {
             self.completion_time.insert(k, v);

@@ -27,6 +27,11 @@ pub(crate) struct RobEntry {
 
 /// An in-order reorder buffer: dispatch appends, commit pops completed
 /// entries from the head, bounded capacity backpressures dispatch.
+///
+/// Entries are in tag order (dispatch allocates ascending tags), so a
+/// lookup by tag is a binary search — or O(1) when tags are dense, as
+/// they are on a single-thread pipeline: the tag's offset from the
+/// head's is then its index.
 #[derive(Debug, Clone)]
 pub(crate) struct Rob {
     entries: VecDeque<RobEntry>,
@@ -79,36 +84,47 @@ impl Rob {
         self.entries.push_back(entry);
     }
 
+    /// Index of `tag` in `entries`.
+    fn index_of(&self, tag: InstTag) -> Option<usize> {
+        let head = self.entries.front()?.tag.0;
+        let offset = usize::try_from(tag.0.checked_sub(head)?).ok()?;
+        if self.entries.get(offset).is_some_and(|e| e.tag == tag) {
+            return Some(offset);
+        }
+        self.entries.binary_search_by_key(&tag.0, |e| e.tag.0).ok()
+    }
+
     pub(crate) fn mark(&mut self, tag: InstTag, state: RobState) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
-            e.state = state;
+        if let Some(i) = self.index_of(tag) {
+            self.entries[i].state = state;
         }
     }
 
-    /// Pops up to `width` completed entries from the head, in order.
-    pub(crate) fn commit(&mut self, width: usize) -> Vec<RobEntry> {
-        let mut out = Vec::new();
+    /// Pops up to `width` completed entries from the head, in order, into
+    /// `out` (a caller-owned scratch buffer, cleared first, so committing
+    /// allocates nothing in steady state).
+    pub(crate) fn commit(&mut self, width: usize, out: &mut Vec<RobEntry>) {
+        out.clear();
         while out.len() < width {
             match self.entries.front() {
                 Some(e) if e.state == RobState::Completed => {
-                    out.push(self.entries.pop_front().expect("front exists"));
+                    out.extend(self.entries.pop_front());
                 }
                 _ => break,
             }
         }
         self.committed += out.len() as u64;
-        out
     }
 
     /// Destination register of the in-flight instruction `tag`.
     #[allow(dead_code)]
     pub(crate) fn dest_of(&self, tag: InstTag) -> Option<ArchReg> {
-        self.entries.iter().find(|e| e.tag == tag).and_then(|e| e.inst.dest)
+        self.get(tag).and_then(|e| e.inst.dest)
     }
 
     /// The in-flight entry for `tag`, if present.
     pub(crate) fn get(&self, tag: InstTag) -> Option<&RobEntry> {
-        self.entries.iter().find(|e| e.tag == tag)
+        self.index_of(tag).map(|i| &self.entries[i])
     }
 
     /// The oldest in-flight entry, if any.
@@ -170,6 +186,11 @@ impl chainiq_ckpt::Pack for Rob {
                 context: "ROB occupancy exceeds its capacity".to_string(),
             });
         }
+        if entries.iter().zip(entries.iter().skip(1)).any(|(a, b)| a.tag >= b.tag) {
+            return Err(chainiq_ckpt::CkptError::Corrupt {
+                context: "ROB entries out of tag order".to_string(),
+            });
+        }
         Ok(Rob {
             entries,
             capacity,
@@ -194,15 +215,21 @@ mod tests {
         }
     }
 
+    fn commit(rob: &mut Rob, width: usize) -> Vec<RobEntry> {
+        let mut out = Vec::new();
+        rob.commit(width, &mut out);
+        out
+    }
+
     #[test]
     fn commits_in_order_only() {
         let mut rob = Rob::new(8);
         rob.push(entry(0));
         rob.push(entry(1));
         rob.mark(InstTag(1), RobState::Completed);
-        assert!(rob.commit(8).is_empty(), "head not complete, nothing commits");
+        assert!(commit(&mut rob, 8).is_empty(), "head not complete, nothing commits");
         rob.mark(InstTag(0), RobState::Completed);
-        let c = rob.commit(8);
+        let c = commit(&mut rob, 8);
         assert_eq!(c.len(), 2);
         assert_eq!(c[0].tag, InstTag(0));
         assert_eq!(rob.committed(), 2);
@@ -215,8 +242,36 @@ mod tests {
             rob.push(entry(i));
             rob.mark(InstTag(i), RobState::Completed);
         }
-        assert_eq!(rob.commit(8).len(), 8);
-        assert_eq!(rob.commit(8).len(), 2);
+        let mut out = vec![entry(99)];
+        rob.commit(8, &mut out);
+        assert_eq!(out.len(), 8, "the scratch buffer is cleared first");
+        rob.commit(8, &mut out);
+        assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn lookup_finds_dense_and_sparse_tags() {
+        // Dense tags (one thread) hit the offset path; sparse tags (SMT
+        // threads interleaving) fall back to the binary search.
+        for stride in [1u64, 3] {
+            let mut rob = Rob::new(64);
+            for i in 0..40 {
+                rob.push(entry(100 + i * stride));
+            }
+            for i in 0..40 {
+                let tag = InstTag(100 + i * stride);
+                assert_eq!(rob.get(tag).map(|e| e.tag), Some(tag), "stride {stride}");
+            }
+            assert!(rob.get(InstTag(99)).is_none());
+            assert!(rob.get(InstTag(100 + 40 * stride)).is_none());
+            if stride > 1 {
+                assert!(rob.get(InstTag(101)).is_none());
+            }
+            rob.mark(InstTag(100), RobState::Completed);
+            assert_eq!(commit(&mut rob, 1).len(), 1);
+            let tag = InstTag(100 + 39 * stride);
+            assert_eq!(rob.get(tag).map(|e| e.tag), Some(tag), "after the head moved");
+        }
     }
 
     #[test]

@@ -80,6 +80,8 @@ pub struct SmtPipeline<Q, W> {
     dispatch_rr: usize,
     /// Scratch for each thread's per-cycle LSQ event report.
     lsq_events: Vec<LsqEvent>,
+    /// Scratch for the entries a thread committed this cycle.
+    committed: Vec<RobEntry>,
     stats: SimStats,
 }
 
@@ -126,6 +128,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> SmtPipeline<Q, W> {
             fetch_rr: 0,
             dispatch_rr: 0,
             lsq_events: Vec::new(),
+            committed: Vec::new(),
             stats: SimStats::default(),
             config,
         }
@@ -423,8 +426,10 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> SmtPipeline<Q, W> {
 
         // 6. Commit: shared bandwidth, split round-robin.
         let share = self.config.commit_width.div_ceil(n);
+        let mut committed = std::mem::take(&mut self.committed);
         for t in 0..n {
-            for e in self.threads[t].rob.commit(share) {
+            self.threads[t].rob.commit(share, &mut committed);
+            for e in committed.drain(..) {
                 self.threads[t].rename.retire(e.inst.dest, e.tag);
                 self.threads[t].lsq.on_commit(e.tag);
                 self.completion_time.remove(e.tag.0);
@@ -434,6 +439,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> SmtPipeline<Q, W> {
                 self.thread_of.remove(e.tag.0);
             }
         }
+        self.committed = committed;
 
         // 7. Fetch: one thread per cycle, round-robin.
         let t = self.fetch_rr % n;

@@ -208,6 +208,39 @@ impl Hierarchy {
         self.l1d.probe(addr) && self.l1d_mshrs.outstanding(now, line).is_none()
     }
 
+    /// The first cycle at which an access of `kind` rejected at `now`
+    /// with `reason` can be accepted.
+    ///
+    /// On every cycle before it, presenting the same access again is
+    /// rejected again and changes nothing but the rejection counter, so a
+    /// caller may skip those attempts and account for them with
+    /// [`Hierarchy::count_rejections`]. The argument (DESIGN.md §9): a
+    /// rejected line is absent from its L1 and has no fill in flight
+    /// there (an L2-rejected one is absent from the L2 too). While an
+    /// MSHR file is full nothing allocates from it, and a line enters an
+    /// array only on a primary miss (which allocates), on a merge into
+    /// its own fill in flight (which the rejected line does not have),
+    /// or, for the L2, as a dirty L1D victim (a line in the L1D, which
+    /// the rejected line is not and cannot become). So the rejected line
+    /// stays absent and the file stays full until its earliest fill
+    /// lands. An L2-rejected access may meanwhile see its L1 file fill
+    /// up; that changes only the reason it is rejected.
+    #[must_use]
+    pub fn retry_at(&self, now: Cycle, kind: AccessKind, reason: RejectReason) -> Cycle {
+        let file = match (reason, kind) {
+            (RejectReason::L2MshrFull, _) => &self.l2_mshrs,
+            (RejectReason::L1MshrFull, AccessKind::Ifetch) => &self.l1i_mshrs,
+            (RejectReason::L1MshrFull, _) => &self.l1d_mshrs,
+        };
+        file.full_until(now).unwrap_or(now + 1)
+    }
+
+    /// Counts `n` rejections of accesses that were not presented because
+    /// [`Hierarchy::retry_at`] proved each would have been rejected.
+    pub fn count_rejections(&mut self, n: u64) {
+        self.stats.mshr_rejections += n;
+    }
+
     fn l1_access(
         &mut self,
         now: Cycle,
@@ -258,9 +291,7 @@ impl Hierarchy {
         }
 
         // Case 3: primary L1 miss. Check resources before mutating.
-        if mshrs.in_use(now)
-            >= if is_ifetch { self.config.l1i.mshrs } else { self.config.l1d.mshrs }
-        {
+        if mshrs.full_until(now).is_some() {
             self.stats.mshr_rejections += 1;
             return Err(RejectReason::L1MshrFull);
         }
@@ -268,10 +299,7 @@ impl Hierarchy {
         let l2_req_at = l1_resolved_at;
         let l2_present = self.l2.probe(addr);
         let l2_outstanding = self.l2_mshrs.outstanding(now, l2_line);
-        if !l2_present
-            && l2_outstanding.is_none()
-            && self.l2_mshrs.in_use(now) >= self.config.l2.mshrs
-        {
+        if !l2_present && l2_outstanding.is_none() && self.l2_mshrs.full_until(now).is_some() {
             self.stats.mshr_rejections += 1;
             return Err(RejectReason::L2MshrFull);
         }
@@ -384,6 +412,16 @@ impl chainiq_ckpt::Snapshot for Hierarchy {
         self.l1i_mshrs = Pack::unpack(r)?;
         self.l1d_mshrs = Pack::unpack(r)?;
         self.l2_mshrs = Pack::unpack(r)?;
+        // The miss path sizes each file by its own capacity, which must
+        // therefore be the configured one.
+        if self.l1i_mshrs.capacity() != config.l1i.mshrs
+            || self.l1d_mshrs.capacity() != config.l1d.mshrs
+            || self.l2_mshrs.capacity() != config.l2.mshrs
+        {
+            return Err(chainiq_ckpt::CkptError::Corrupt {
+                context: "MSHR file capacity differs from the memory configuration".to_string(),
+            });
+        }
         self.l1_l2_bus = Pack::unpack(r)?;
         self.memory_bus = Pack::unpack(r)?;
         self.stats = Pack::unpack(r)?;
@@ -494,6 +532,34 @@ mod tests {
         }
         assert!(m.access(0, 64 * 64, AccessKind::Read).is_err());
         assert!(m.access(last, 64 * 64, AccessKind::Read).is_ok());
+    }
+
+    #[test]
+    fn rejected_access_stays_rejected_until_retry_at() {
+        let mut m = hier();
+        for i in 0..32u64 {
+            m.access(i, i * 64, AccessKind::Read).unwrap();
+        }
+        let err = m.access(40, 1 << 30, AccessKind::Read).unwrap_err();
+        assert_eq!(err, RejectReason::L1MshrFull);
+        let until = m.retry_at(40, AccessKind::Read, err);
+        assert!(until > 41);
+        // Hits and merges in the meantime do not reopen the file.
+        m.access(41, 0x20, AccessKind::Read).unwrap();
+        for t in 41..until {
+            assert!(m.access(t, 1 << 30, AccessKind::Read).is_err(), "cycle {t}");
+        }
+        assert!(m.access(until, 1 << 30, AccessKind::Read).is_ok());
+    }
+
+    #[test]
+    fn count_rejections_only_moves_the_counter() {
+        let mut m = hier();
+        let before = *m.stats();
+        m.count_rejections(3);
+        let mut want = before;
+        want.mshr_rejections += 3;
+        assert_eq!(*m.stats(), want);
     }
 
     #[test]

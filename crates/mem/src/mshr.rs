@@ -57,10 +57,20 @@ pub struct MshrFile {
     /// absence. Bits can be stale-set (entries expire lazily), which
     /// only costs a wasted scan, never a wrong answer.
     line_filter: u64,
+    /// Earliest `fill_at` over `entries` (`Cycle::MAX` when empty), so
+    /// [`MshrFile::full_until`] answers without a scan. Derived from
+    /// `entries`; not serialized.
+    earliest_fill: Cycle,
     peak_in_use: usize,
     total_allocations: u64,
     total_merges: u64,
     total_rejections: u64,
+}
+
+/// The derived summaries of `entries`: its `line_filter` and its
+/// earliest `fill_at`.
+fn summarize(entries: &[Entry]) -> (u64, Cycle) {
+    entries.iter().fold((0, Cycle::MAX), |(f, t), e| (f | filter_bit(e.line), t.min(e.fill_at)))
 }
 
 /// Maps a line address onto a `line_filter` bit. Line addresses share
@@ -83,6 +93,7 @@ impl MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
             line_filter: 0,
+            earliest_fill: Cycle::MAX,
             peak_in_use: 0,
             total_allocations: 0,
             total_merges: 0,
@@ -92,7 +103,7 @@ impl MshrFile {
 
     fn expire(&mut self, now: Cycle) {
         self.entries.retain(|e| e.fill_at > now);
-        self.line_filter = self.entries.iter().fold(0, |f, e| f | filter_bit(e.line));
+        (self.line_filter, self.earliest_fill) = summarize(&self.entries);
     }
 
     /// Requests tracking for a miss on `line` whose fill would land at
@@ -111,6 +122,7 @@ impl MshrFile {
         }
         self.entries.push(Entry { line, fill_at, merged: 0 });
         self.line_filter |= filter_bit(line);
+        self.earliest_fill = self.earliest_fill.min(fill_at);
         self.total_allocations += 1;
         self.peak_in_use = self.peak_in_use.max(self.entries.len());
         MshrGrant::Allocated
@@ -123,6 +135,25 @@ impl MshrFile {
             return None; // proven absent without scanning the file
         }
         self.entries.iter().find(|e| e.line == line && e.fill_at > now).map(|e| e.fill_at)
+    }
+
+    /// When every register holds a fill still in flight at `now`, the
+    /// first cycle at which one lands (so a new line can allocate);
+    /// `None` when a request at `now` for a new line would allocate.
+    ///
+    /// O(1): the file never holds more than `capacity` entries, so it is
+    /// full exactly when it holds `capacity` of them and the earliest has
+    /// not landed yet.
+    #[must_use]
+    pub fn full_until(&self, now: Cycle) -> Option<Cycle> {
+        (self.entries.len() >= self.capacity && self.earliest_fill > now)
+            .then_some(self.earliest_fill)
+    }
+
+    /// Number of registers.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Number of entries currently in flight at `now`.
@@ -186,11 +217,12 @@ impl chainiq_ckpt::Pack for MshrFile {
                 context: format!("MSHR file: {} entries in capacity {capacity}", entries.len()),
             });
         }
-        let line_filter = entries.iter().fold(0, |f, e| f | filter_bit(e.line));
+        let (line_filter, earliest_fill) = summarize(&entries);
         Ok(MshrFile {
             capacity,
             entries,
             line_filter,
+            earliest_fill,
             peak_in_use: Pack::unpack(r)?,
             total_allocations: Pack::unpack(r)?,
             total_merges: Pack::unpack(r)?,
@@ -239,6 +271,24 @@ mod tests {
         assert_eq!(m.outstanding(10, 7), Some(42));
         assert_eq!(m.outstanding(42, 7), None);
         assert_eq!(m.outstanding(10, 8), None);
+    }
+
+    #[test]
+    fn full_until_agrees_with_in_use() {
+        let mut m = MshrFile::new(2);
+        assert_eq!(m.full_until(0), None);
+        m.request(0, 1, 40);
+        assert_eq!(m.full_until(0), None, "one register still free");
+        m.request(1, 2, 30);
+        assert_eq!(m.full_until(1), Some(30), "the earliest fill frees the file");
+        assert_eq!(m.full_until(29), Some(30));
+        assert_eq!(m.full_until(30), None, "a stale entry leaves room");
+        for now in 0..50 {
+            assert_eq!(m.full_until(now).is_some(), m.in_use(now) >= m.capacity(), "cycle {now}");
+        }
+        // Expiry on the next request recomputes the summary.
+        assert_eq!(m.request(30, 3, 90), MshrGrant::Allocated);
+        assert_eq!(m.full_until(31), Some(40));
     }
 
     #[test]

@@ -76,14 +76,15 @@ fn baseline_grid_matches_golden() {
 /// result: the LSQ and ROB rebuild their derived indexes on unpack.
 #[test]
 fn checkpoint_restored_run_matches_golden() {
-    // The same spec as the grid's first point, so the same result.
-    const RESTORED: u64 = GRID[0].1;
+    // The same spec as the grid's swim/ideal512 point, so the same
+    // result; swim fills the MSHR file well before the restore point.
+    const RESTORED: u64 = GRID[2].1;
     let dir = std::env::temp_dir().join(format!("chainiq-baseline-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let plan = CkptPlan { dir: dir.clone(), warmup: 1_500 };
     let run = || {
         run_one_ckpt(
-            Bench::Applu.profile(),
+            Bench::Swim.profile(),
             IqKind::Ideal(512),
             false,
             false,
@@ -102,11 +103,13 @@ fn checkpoint_restored_run_matches_golden() {
 }
 
 /// Two threads share one hierarchy, so one thread's misses fill the
-/// MSHR file the other's loads are rejected from.
+/// MSHR file the other's loads are rejected from. Long enough for the
+/// file to fill: at 3k instructions neither point is rejected yet.
 #[test]
 fn smt_swim_gcc_matches_golden() {
-    const SEG: u64 = 0xeaa4eaf403ddacdb;
-    const IDEAL: u64 = 0x2d83b18af837ee85;
+    const SMT_SAMPLE: u64 = 8_000;
+    const SEG: u64 = 0xfd50479f57bf7756;
+    const IDEAL: u64 = 0x3e672e87380c9f33;
     const STRIDE: u64 = (1 << 40) | 0x94_530;
     let threads = || -> Vec<AddressSpace<SyntheticWorkload>> {
         [Bench::Swim, Bench::Gcc]
@@ -125,12 +128,12 @@ fn smt_swim_gcc_matches_golden() {
     let mut qc = SegmentedIqConfig::paper(512, Some(128));
     qc.two_chain_tracking = false;
     let mut smt = SmtPipeline::new(cfg, SegmentedIq::new(qc), threads());
-    let stats = smt.run(SAMPLE);
+    let stats = smt.run(SMT_SAMPLE);
     let seg = RunResult { stats, segmented: Some(smt.iq().full_stats()) };
 
     let cfg = SimConfig::default().rob_for_iq(512);
     let mut smt = SmtPipeline::new(cfg, IdealIq::new(512), threads());
-    let stats = smt.run(SAMPLE);
+    let stats = smt.run(SMT_SAMPLE);
     let ideal = RunResult { stats, segmented: None };
 
     assert_eq!(
